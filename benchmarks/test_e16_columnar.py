@@ -39,7 +39,7 @@ from pathlib import Path
 
 from repro.datalog import chase
 from repro.datalog.answering import evaluate_query_counts
-from repro.engine.matching import DeltaJoinPlan, matcher_for
+from repro.engine.matching import DeltaJoinPlan, GroupedDelta, matcher_for
 from repro.workloads import WorkloadSpec, generate_workload
 
 ARTIFACT = Path(__file__).resolve().parent.parent / "BENCH_columnar.json"
@@ -85,8 +85,10 @@ def _measure_engine(engine, program, queries, delta_seed):
 
     live = [(relation.schema.name, row)
             for relation in instance for row in relation.rows()]
-    delta = random.Random(delta_seed).sample(
-        live, k=min(DELTA_ROWS, len(live)))
+    # Grouped once, as session maintenance groups each update's delta once
+    # for every cached query's plan.
+    delta = GroupedDelta(random.Random(delta_seed).sample(
+        live, k=min(DELTA_ROWS, len(live))))
     plans = [DeltaJoinPlan(matcher, query.body,
                            variables=query.body_variables(),
                            comparisons=query.comparisons)

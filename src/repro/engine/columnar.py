@@ -54,7 +54,8 @@ from ..datalog.unify import Substitution, comparison_bindings
 from ..relational import columns as _cols
 from ..relational.instance import DatabaseInstance
 from ..relational.values import Null, value_catalog
-from .matching import COLUMNAR, DeltaJoinPlan, DeltaLike, IndexedMatcher
+from .matching import (COLUMNAR, DeltaJoinPlan, DeltaLike, GroupedDelta,
+                       IndexedMatcher)
 
 __all__ = ["BindingTable", "ColumnarMatcher", "codegen_cache_size"]
 
@@ -542,12 +543,6 @@ class ColumnarMatcher(IndexedMatcher):
 
     name = COLUMNAR
 
-    def __init__(self, stats=None):
-        super().__init__(stats)
-        #: memo of the last delta's normalized/encoded form (see
-        #: :meth:`_delta_encodings`)
-        self._delta_memo = None
-
     # -- batch join driver ---------------------------------------------------
 
     def _join_ordered(self, table: BindingTable, ordered: Sequence[Atom],
@@ -754,20 +749,24 @@ class ColumnarMatcher(IndexedMatcher):
     def _delta_encodings(self, instance: DatabaseInstance, delta: DeltaLike):
         """``(grouped, encoded)`` view of ``delta`` against ``instance``.
 
-        Session maintenance and the delta chase replay the *same* delta
-        through one plan per maintained query, so normalizing the delta and
-        encoding its live rows is memoized across plans (one-entry memo on
-        the matcher).  The memo is only trusted while the delta is the same
-        list object with the same length and every touched relation is the
-        same object with an unchanged mutation counter — any instance
-        update or delta rebuild falls back to a fresh encode.
+        Session maintenance replays one :class:`GroupedDelta` per update
+        side through the plan of every cached query it reaches, so the
+        encoding of its live rows is memoized on the delta itself: each
+        predicate is encoded once per update, however many plans join it.
+        The memo is only trusted while the instance is the same object and
+        every touched relation is the same object with an unchanged
+        mutation counter — any instance update falls back to a fresh
+        encode.  A flat fact list is grouped per call (callers replaying
+        one list through many plans group it once themselves); instance
+        deltas (the chase's rounds) are never memoized.
         """
-        memo = self._delta_memo
-        if (memo is not None and memo[0] is delta and memo[1] is instance
-                and isinstance(delta, (list, tuple))
-                and memo[2] == len(delta)):
-            grouped, stamps, encoded = memo[3], memo[4], memo[5]
-            for predicate, relation, mutations in stamps:
+        if isinstance(delta, DatabaseInstance):
+            return DeltaJoinPlan._delta_rows(delta), {}
+        if not isinstance(delta, GroupedDelta):
+            delta = GroupedDelta(delta)
+        memo = delta.memo
+        if memo is not None and memo[0] is instance:
+            for predicate, relation, mutations in memo[1]:
                 if relation is None:
                     if instance.has_relation(predicate):
                         break
@@ -776,20 +775,17 @@ class ColumnarMatcher(IndexedMatcher):
                       or relation._mutations != mutations):
                     break
             else:
-                return grouped, encoded
-        grouped = DeltaJoinPlan._delta_rows(delta)
+                return delta.rows, memo[2]
+        stamps = []
+        for predicate in delta.rows:
+            if instance.has_relation(predicate):
+                relation = instance.relation(predicate)
+                stamps.append((predicate, relation, relation._mutations))
+            else:
+                stamps.append((predicate, None, None))
         encoded: Dict[str, Any] = {}
-        if isinstance(delta, (list, tuple)):
-            stamps = []
-            for predicate in grouped:
-                if instance.has_relation(predicate):
-                    relation = instance.relation(predicate)
-                    stamps.append((predicate, relation, relation._mutations))
-                else:
-                    stamps.append((predicate, None, None))
-            self._delta_memo = (delta, instance, len(delta), grouped,
-                                tuple(stamps), encoded)
-        return grouped, encoded
+        delta.memo = (instance, tuple(stamps), encoded)
+        return delta.rows, encoded
 
     def _delta_tables(self, plan: DeltaJoinPlan, instance: DatabaseInstance,
                       delta: DeltaLike) -> Iterator[BindingTable]:

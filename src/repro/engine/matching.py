@@ -39,7 +39,10 @@ depends only on the pivot atom, not on the delta row).  The compiled form
 is :class:`DeltaJoinPlan` — a reusable object the session layer caches per
 query so repeated updates replay the same pivot plans — and
 :func:`iter_delta_joins` is the one-shot wrapper the chase and semi-naive
-evaluator call per (rule, round).
+evaluator call per (rule, round).  :class:`GroupedDelta` is an update's
+fact delta grouped once for many plans; its :meth:`~GroupedDelta.reaches`
+test lets the session layer skip, without a join, every cached query whose
+constants no delta fact matches.
 
 Matchers optionally record their work in an
 :class:`~repro.engine.stats.EngineStats` object.
@@ -279,10 +282,90 @@ class IndexedMatcher(Matcher):
         return ordered + negative
 
 
-#: An instance-level delta: either a :class:`DatabaseInstance` holding the
-#: changed rows (the chase's round deltas) or a flat iterable of
-#: ``(predicate, row)`` facts (the session layer's update deltas).
-DeltaLike = Union[DatabaseInstance, Iterable[Tuple[str, Tuple[Any, ...]]]]
+#: The constants of a conjunction's atoms: one ``(predicate, ((position,
+#: value), ...))`` pair per distinct atom shape (see :func:`constant_signature`).
+ConstantSignature = Tuple[Tuple[str, Tuple[Tuple[int, Any], ...]], ...]
+
+
+def constant_signature(atoms: Sequence[Atom]) -> ConstantSignature:
+    """The predicate and constant positions of each atom, deduplicated.
+
+    A fact can pin an atom in a delta join only if it has the atom's
+    predicate and equals each of its constants at their positions, so this
+    is everything :meth:`GroupedDelta.reaches` needs to rule a conjunction
+    out without joining.  Variables (repeated or not) and comparisons are
+    deliberately left out: ignoring a filter can only keep a conjunction in,
+    never rule it out wrongly.
+    """
+    shapes: Dict[Tuple[str, Tuple[Tuple[int, Any], ...]], None] = {}
+    for atom in atoms:
+        constants = tuple((position, term_value(term))
+                          for position, term in enumerate(atom.terms)
+                          if not isinstance(term, Variable))
+        shapes[(atom.predicate, constants)] = None
+    return tuple(shapes)
+
+
+class GroupedDelta:
+    """A flat fact delta grouped by predicate once, for many delta joins.
+
+    The session layer joins one update's delta through the plan of every
+    cached query it may reach; grouping (and any engine encoding) happens
+    once per update instead of once per plan.  ``rows`` maps each predicate
+    to its delta rows in delta order.  Per-position value sets are built on
+    the first :meth:`reaches` probe of a predicate, so routing a
+    conjunction costs a few set lookups.  ``memo`` is engine-private: the
+    columnar matcher keeps its encoded form of the delta there.
+    """
+
+    __slots__ = ("rows", "_columns", "memo")
+
+    def __init__(self, facts: Iterable[Tuple[str, Sequence[Any]]]):
+        rows: Dict[str, List[Tuple[Any, ...]]] = {}
+        for predicate, row in facts:  # per-tuple: ok — O(update), not O(data)
+            rows.setdefault(predicate, []).append(tuple(row))
+        self.rows = rows
+        self._columns: Dict[str, List[Set[Any]]] = {}
+        self.memo: Any = None
+
+    def _values(self, predicate: str) -> List[Set[Any]]:
+        columns = self._columns.get(predicate)
+        if columns is None:
+            columns = []
+            for row in self.rows[predicate]:  # per-tuple: ok — O(update)
+                for position, value in enumerate(row):
+                    if position == len(columns):
+                        columns.append(set())
+                    columns[position].add(value)
+            self._columns[predicate] = columns
+        return columns
+
+    def reaches(self, signature: ConstantSignature) -> bool:
+        """``False`` only if no delta fact can pin any atom of ``signature``.
+
+        Each constant is checked against the values the delta holds at its
+        position — exact per position, conservative across positions (two
+        constants may be matched by different facts), so ``True`` may still
+        lead to an empty join, but ``False`` is never wrong.
+        """
+        rows = self.rows
+        for predicate, constants in signature:
+            if predicate not in rows:
+                continue
+            if not constants:
+                return True
+            columns = self._values(predicate)
+            if all(position < len(columns) and value in columns[position]
+                   for position, value in constants):
+                return True
+        return False
+
+
+#: An instance-level delta: a :class:`DatabaseInstance` holding the changed
+#: rows (the chase's round deltas), a :class:`GroupedDelta` (the session
+#: layer's update deltas), or a flat iterable of ``(predicate, row)`` facts.
+DeltaLike = Union[DatabaseInstance, GroupedDelta,
+                  Iterable[Tuple[str, Tuple[Any, ...]]]]
 
 
 class DeltaJoinPlan:
@@ -308,7 +391,8 @@ class DeltaJoinPlan:
     orders are a heuristic (selectivity at compile time), never a
     correctness requirement, so a plan compiled against one instance can be
     replayed against old or new versions of it.  The session layer caches
-    one plan per maintained query; the chase compiles one per (rule, round)
+    one plan per maintained query and replays one :class:`GroupedDelta` per
+    update through all of them; the chase compiles one per (rule, round)
     via :func:`iter_delta_joins`.
     """
 
@@ -351,10 +435,9 @@ class DeltaJoinPlan:
         if isinstance(delta, DatabaseInstance):
             return {relation.schema.name: relation.rows()
                     for relation in delta if len(relation)}
-        grouped: Dict[str, List[Tuple[Any, ...]]] = {}
-        for predicate, row in delta:  # per-tuple: ok — delta rows are O(update), not O(data)
-            grouped.setdefault(predicate, []).append(tuple(row))
-        return grouped
+        if not isinstance(delta, GroupedDelta):
+            delta = GroupedDelta(delta)
+        return delta.rows
 
     def homomorphisms(self, instance: DatabaseInstance, delta: DeltaLike,
                       dedupe: bool = True) -> Iterator[Substitution]:

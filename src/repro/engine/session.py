@@ -26,9 +26,12 @@ between calls instead of re-running the chase per call:
   valuations deriving it — and every update propagates its exact fact
   delta through a compiled
   :class:`~repro.engine.matching.DeltaJoinPlan`, inserting and decrementing
-  answers in place.  Only updates whose delta is unknowable (EGD merges,
-  full re-chases) fall back to dropping the entry, mirroring the
-  materialization's own full-rechase fallback.
+  answers in place.  The delta is grouped once per update and routed: an
+  entry whose constants no delta fact can match is skipped without a join,
+  and an entry whose joins move no support is kept as is, so an update
+  costs O(delta + entries it can change).  Only updates whose delta is
+  unknowable (EGD merges, full re-chases) fall back to dropping the entry,
+  mirroring the materialization's own full-rechase fallback.
 
 Every update and batch returns its own stats delta; the session objects
 accumulate lifetime totals, including cache hits/misses and the
@@ -39,6 +42,7 @@ the session lifecycle.
 from __future__ import annotations
 
 import threading
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
@@ -54,7 +58,8 @@ from ..datalog.unify import comparison_bindings
 from ..errors import UnknownRelationError
 from ..relational.instance import DatabaseInstance
 from ..relational.values import Null, NullFactory
-from .matching import DeltaJoinPlan, Matcher, matcher_for, resolve_engine
+from .matching import (DeltaJoinPlan, GroupedDelta, Matcher, constant_signature,
+                       matcher_for, resolve_engine)
 from .stats import EngineStats
 from .versioning import InstanceVersion, ReadTransaction, VersionStore
 
@@ -104,6 +109,25 @@ class UpdateResult:
             predicate in self.changed_predicates
 
 
+#: An update's exact fact delta grouped once for every session and cached
+#: query it reaches: ``(removed, added)``.
+UpdateDelta = Tuple[GroupedDelta, GroupedDelta]
+
+#: What answer maintenance decided per installed entry, keyed by query
+#: text: ``(entry decided, its successor)`` — the successor is the entry
+#: itself when the delta cannot reach it or no support moved, ``None`` when
+#: the entry must be dropped.
+MaintenanceOutcomes = Dict[str, Tuple["MaintainedAnswers",
+                                      Optional["MaintainedAnswers"]]]
+
+
+def _grouped_delta(update: UpdateResult) -> Optional[UpdateDelta]:
+    """``update``'s fact delta grouped by predicate, ``None`` if unknown."""
+    if update.added_facts is None or update.removed_facts is None:
+        return None
+    return GroupedDelta(update.removed_facts), GroupedDelta(update.added_facts)
+
+
 class _ProvenanceLog(dict):
     """A provenance mapping that logs newly recorded facts.
 
@@ -137,33 +161,57 @@ class MaintainedAnswers:
     while its count is positive, so both certain answers (nulls dropped)
     and raw answers derive from the same entry without re-joining.
 
-    Entries are immutable once installed: maintenance builds a *fresh*
-    entry and swaps it in under the version store's lock, stamped with the
-    version it belongs to — a reader pinned at ``version >= stamp`` may
-    serve from the entry, because any later update touching the query's
-    predicates would have replaced (or dropped) it.  The compiled
-    :class:`~repro.engine.matching.DeltaJoinPlan` is carried across swaps
-    so repeated updates replay the same hoisted pivot plans, and the sorted
-    answer rows are carried *patched* (:meth:`_patch_rows`): only the rows
-    whose support crossed zero move, so an update never pays a full
-    key-building sort over a large cached answer set.
+    Entries are immutable once installed, and stamped with the version
+    they were computed at: a reader pinned at ``version >= stamp`` may
+    serve from the entry, because any later update that could change its
+    answers would have replaced (or dropped) it.  An update whose delta
+    reaches the entry but moves no support keeps it — same object, same
+    stamp — since its answers at the new version equal those at the stamp.
+    An update that does move support builds a :meth:`_successor` and swaps
+    it in under the version store's lock.  The successor shares the
+    query's key, predicates, constant ``signature`` (the update routing
+    input, see :class:`~repro.engine.matching.GroupedDelta`) and compiled
+    :class:`~repro.engine.matching.DeltaJoinPlan`, and carries the sorted
+    answer rows *patched* (:meth:`_patch_rows`): only the rows whose
+    support crossed zero move, so an update never pays a full key-building
+    sort over a large cached answer set.
     """
 
-    __slots__ = ("cq", "key", "predicates", "counts", "version", "plan",
-                 "_rows", "last_used")
+    __slots__ = ("cq", "key", "predicates", "signature", "counts", "version",
+                 "plan", "_rows", "last_used")
 
     def __init__(self, cq: ConjunctiveQuery, counts: AnswerCounts,
-                 version: int, plan: Optional[DeltaJoinPlan] = None):
+                 version: int, plan: Optional[DeltaJoinPlan] = None,
+                 key: Optional[str] = None):
         self.cq = cq
-        self.key = str(cq)
-        self.predicates = cq.body_predicates()
+        self.key = str(cq) if key is None else key
+        self.predicates = frozenset(cq.body_predicates())
+        self.signature = constant_signature(cq.body)
         self.counts = counts
         self.version = version
+        #: compiled on the first update that reaches the entry, then shared
+        #: by every successor (a join-order cache, not answer state)
         self.plan = plan
         #: recency stamp driving the session's support-count budget (LRU)
         self.last_used = 0
         #: per flavour: (sorted answer rows, their parallel sort keys)
         self._rows: Dict[bool, Tuple[Answers, Tuple[Tuple[str, ...], ...]]] = {}
+
+    def _successor(self, counts: AnswerCounts,
+                   version: int) -> "MaintainedAnswers":
+        """A fresh entry for ``counts`` at ``version``, sharing everything
+        derived from the query (no re-stringifying, no re-analysis)."""
+        fresh = MaintainedAnswers.__new__(MaintainedAnswers)
+        fresh.cq = self.cq
+        fresh.key = self.key
+        fresh.predicates = self.predicates
+        fresh.signature = self.signature
+        fresh.counts = counts
+        fresh.version = version
+        fresh.plan = self.plan
+        fresh.last_used = self.last_used  # maintenance is not a *use*
+        fresh._rows = {}
+        return fresh
 
     @staticmethod
     def _sort_key(row: AnswerTuple) -> Tuple[str, ...]:
@@ -191,9 +239,10 @@ class MaintainedAnswers:
 
         ``vanished`` rows lost their last support (dropped), ``appeared``
         rows gained their first (inserted at their sort position via the
-        parallel key list).  A row in both nets out to its old position.
-        Cost is one O(answers) filtered copy plus O(delta) binary
-        insertions — never a full sort with per-row key building.
+        parallel key list).  When no row crossed zero the rows are shared
+        as is; otherwise cost is one O(answers) copy — a C-level list copy
+        when nothing vanished, a filtered copy otherwise — plus O(delta)
+        binary insertions; never a full sort with per-row key building.
 
         ``previous`` may belong to a live session whose readers memoize
         further flavours concurrently (``rows()`` runs lock-free), so the
@@ -201,17 +250,20 @@ class MaintainedAnswers:
         the GIL) before iterating; a flavour memoized after the snapshot
         is simply recomputed on the fresh entry's first read.
         """
-        from bisect import bisect_left
         for flavor, (rows, keys) in list(previous._rows.items()):
             if not vanished and not appeared:
                 self._rows[flavor] = (rows, keys)
                 continue
-            new_rows = []
-            new_keys = []
-            for row, key in zip(rows, keys):
-                if row not in vanished:
-                    new_rows.append(row)
-                    new_keys.append(key)
+            if vanished:
+                new_rows = []
+                new_keys = []
+                for row, key in zip(rows, keys):
+                    if row not in vanished:
+                        new_rows.append(row)
+                        new_keys.append(key)
+            else:
+                new_rows = list(rows)
+                new_keys = list(keys)
             for row in appeared:
                 if not flavor and \
                         any(isinstance(value, Null) for value in row):
@@ -584,14 +636,15 @@ class MaterializedProgram:
         copies = self.versions.prepare(self.instance,
                                        update.changed_predicates)
         previous = self.versions.latest_instance()
+        delta = _grouped_delta(update)
         sessions = list(self._sessions)
         maintained = [(session,
-                       session._maintain_answers(update, previous,
+                       session._maintain_answers(update, delta, previous,
                                                  self.instance, self.version))
                       for session in sessions]
         with self.versions.lock:
-            for session, refreshed in maintained:
-                session._note_update(update, refreshed)
+            for session, outcomes in maintained:
+                session._note_update(update, delta, outcomes)
             self.versions.publish(self.version, self.instance,
                                   update.changed_predicates, copies=copies)
 
@@ -636,7 +689,8 @@ class QuerySession:
       updated *in place* from every update's fact delta (the owning
       :class:`MaterializedProgram` drives maintenance through
       ``_maintain_answers``/``_note_update``), so a cache hit costs one
-      dictionary lookup and re-answering happens only when an update was
+      dictionary lookup (plus the parse-cache lookup that also memoizes the
+      query's canonical key) and re-answering happens only when an update was
       too ambiguous to maintain (EGD merges, full re-chases) — tracked by
       the ``answers_maintained``/``maintenance_fallbacks`` stats counters;
     * **answers** — plain version-stamped answer tuples, used when
@@ -670,14 +724,16 @@ class QuerySession:
         #: lifetime matching work + cache counters of this session
         self.stats = EngineStats(engine=self.engine)
         self._matcher: Matcher = matcher_for(self.engine, self.stats)
-        self._parsed: Dict[str, ConjunctiveQuery] = {}
-        self._plans: Dict[str, Tuple[ConjunctiveQuery, List[Atom]]] = {}
-        #: answer cache entries are (query, version-stamp, answers): an entry
-        #: is valid for every reader at version >= its stamp, because the
-        #: owning program would have invalidated it had a later update
-        #: touched its predicates
+        #: query text -> (parsed query, canonical key ``str(cq)``)
+        self._parsed: Dict[str, Tuple[ConjunctiveQuery, str]] = {}
+        #: canonical key -> (body predicates, join plan)
+        self._plans: Dict[str, Tuple[frozenset, List[Atom]]] = {}
+        #: answer cache entries are (body predicates, version-stamp,
+        #: answers): an entry is valid for every reader at version >= its
+        #: stamp, because the owning program would have invalidated it had
+        #: a later update touched its predicates
         self._answers: Dict[Tuple[str, bool],
-                            Tuple[ConjunctiveQuery, int, Answers]] = {}
+                            Tuple[frozenset, int, Answers]] = {}
         #: maintained support counts per query text (same validity rule)
         self._maintained: Dict[str, MaintainedAnswers] = {}
         self._ws_solver = None
@@ -702,28 +758,42 @@ class QuerySession:
         for cq, counts in restored:
             entry = MaintainedAnswers(cq, counts, version)
             self._maintained[entry.key] = entry
-            self._parsed.setdefault(entry.key, cq)
+            self._parsed.setdefault(entry.key, (cq, entry.key))
 
     # -- caches -------------------------------------------------------------
 
-    def query(self, query: QueryLike) -> ConjunctiveQuery:
-        """Parse ``query`` (cached by source text)."""
+    def _keyed(self, query: QueryLike) -> Tuple[ConjunctiveQuery, str]:
+        """``query`` parsed, with its canonical cache key (``str(cq)``).
+
+        Query text is parsed and stringified once, then served from the
+        parse cache (counted as a cache hit); a :class:`ConjunctiveQuery`
+        object is keyed afresh (and not counted), as :meth:`query` always
+        did.
+        """
         if isinstance(query, ConjunctiveQuery):
-            return query
+            return query, str(query)
         cached = self._parsed.get(query)
         if cached is not None:
             self.stats.cache_hits += 1
             return cached
         self.stats.cache_misses += 1
         parsed = parse_query(query)
-        self._parsed[query] = parsed
-        return parsed
+        keyed = (parsed, str(parsed))
+        self._parsed[query] = keyed
+        return keyed
+
+    def query(self, query: QueryLike) -> ConjunctiveQuery:
+        """Parse ``query`` (cached by source text)."""
+        return self._keyed(query)[0]
 
     def plan(self, query: QueryLike,
              instance: Optional[DatabaseInstance] = None) -> List[Atom]:
         """The join plan for ``query`` against the current materialization."""
-        cq = self.query(query)
-        key = str(cq)
+        cq, key = self._keyed(query)
+        return self._plan(cq, key, instance)
+
+    def _plan(self, cq: ConjunctiveQuery, key: str,
+              instance: Optional[DatabaseInstance]) -> List[Atom]:
         entry = self._plans.get(key)
         if entry is not None:
             self.stats.cache_hits += 1
@@ -734,124 +804,162 @@ class QuerySession:
         plan = self._matcher.plan(
             cq.body, instance,
             bound=comparison_bindings(cq.comparisons))
-        self._plans[key] = (cq, plan)
+        self._plans[key] = (frozenset(cq.body_predicates()), plan)
         return plan
 
     def _maintain_answers(self, update: UpdateResult,
+                          delta: Optional[UpdateDelta],
                           previous: DatabaseInstance,
                           working: DatabaseInstance,
-                          version: int) -> List[MaintainedAnswers]:
+                          version: int) -> MaintenanceOutcomes:
         """Propagate ``update``'s fact delta through the maintained counts.
 
         Runs on the writer thread *before* the store lock is taken — the
         delta joins must not stall readers; ``_note_update`` installs the
-        returned fresh entries under the lock, atomically with the
-        publication of ``version``.  Counting maintenance: homomorphisms
-        lost are enumerated by pivoting the removed facts against
-        ``previous`` (the last published version, where they still exist),
-        homomorphisms gained by pivoting the added facts against
-        ``working`` (the post-update instance); each one moves its
-        projected answer row's support count by ±1.  Facts retracted and
-        re-derived within one update net out exactly.  An update whose
-        delta is unknown (EGD merges, no provenance) cannot be maintained:
-        the entry is left for ``_note_update`` to drop, and the fallback is
-        counted in ``stats.maintenance_fallbacks``.
+        outcomes under the lock, atomically with the publication of
+        ``version``.  Cost is O(delta + reached entries): each entry's
+        constant signature is routed against the grouped ``delta`` and an
+        entry no delta fact can pin is skipped without a join (it stays
+        installed, untouched).  For a reached entry, counting maintenance
+        enumerates the homomorphisms lost by pivoting the removed facts
+        against ``previous`` (the last published version, where they still
+        exist) and those gained by pivoting the added facts against
+        ``working`` (the post-update instance); each moves its projected
+        answer row's support by ±1, and facts retracted and re-derived
+        within one update net out exactly.  An update whose delta is
+        unknown (``delta is None``: EGD merges, no provenance) cannot be
+        maintained: the entry is left for ``_note_update`` to drop, and
+        the fallback is counted in ``stats.maintenance_fallbacks``.
         """
+        outcomes: MaintenanceOutcomes = {}
         if not self.maintain_answers or not self._maintained:
-            return []
+            return outcomes
         changed = update.changed_predicates
         if changed is not None and not changed:
-            return []
-        ambiguous = changed is None or update.added_facts is None or \
-            update.removed_facts is None
-        refreshed: List[MaintainedAnswers] = []
-        for entry in list(self._maintained.values()):
-            if changed is not None and not (entry.predicates & changed):
-                continue  # untouched: the published entry stays valid
-            if ambiguous:
-                self.stats.maintenance_fallbacks += 1
+            return outcomes
+        if delta is None:
+            self.stats.maintenance_fallbacks += sum(
+                1 for entry in list(self._maintained.values())
+                if changed is None or not entry.predicates.isdisjoint(changed))
+            return outcomes
+        removed, added = delta
+        for key, entry in list(self._maintained.items()):
+            lose = removed.reaches(entry.signature)
+            gain = added.reaches(entry.signature)
+            if not (lose or gain):
+                # no delta fact can pin an atom: answers unchanged
+                outcomes[key] = (entry, entry)
                 continue
-            cq = entry.cq
-            plan = entry.plan
-            if plan is None:
-                plan = DeltaJoinPlan(self._matcher, cq.body,
-                                     variables=cq.body_variables(),
-                                     comparisons=cq.comparisons)
-            counts = dict(entry.counts)
-            #: rows whose support crossed zero this pass (drives the sorted
-            #: row patching — rows that merely changed support don't move)
-            vanished: Set[AnswerTuple] = set()
-            appeared: Dict[AnswerTuple, None] = {}
-            consistent = True
-            # Bulk ± per answer row: projected_counts deduplicates the delta
-            # homomorphisms and pre-aggregates them per projection (the
-            # columnar engine computes this without materializing a single
-            # substitution; other engines loop internally).
+            fresh = self._refresh(entry, removed if lose else None,
+                                  added if gain else None,
+                                  previous, working, version)
+            if fresh is None:
+                self.stats.maintenance_fallbacks += 1
+            else:
+                self.stats.answers_maintained += 1
+            outcomes[key] = (entry, fresh)
+        return outcomes
+
+    def _refresh(self, entry: MaintainedAnswers,
+                 removed: Optional[GroupedDelta],
+                 added: Optional[GroupedDelta],
+                 previous: DatabaseInstance, working: DatabaseInstance,
+                 version: int) -> Optional[MaintainedAnswers]:
+        """Run one reached entry's delta joins; return its successor.
+
+        The successor is ``entry`` itself when no support moved (its
+        answers at ``version`` equal those at its stamp), ``None`` when the
+        counts turned out inconsistent (never served; dropped instead).
+        """
+        cq = entry.cq
+        plan = entry.plan
+        if plan is None:
+            plan = entry.plan = DeltaJoinPlan(
+                self._matcher, cq.body, variables=cq.body_variables(),
+                comparisons=cq.comparisons)
+        counts = entry.counts
+        moves: Dict[AnswerTuple, int] = {}
+        if removed is not None:
             for row, lost in plan.projected_counts(
-                    previous, update.removed_facts,
-                    cq.answer_variables).items():
-                support = counts.get(row, 0) - lost
-                if support < 0:
-                    consistent = False  # counts out of sync: never serve them
-                    break
-                if support:
-                    counts[row] = support
-                else:
-                    del counts[row]
-                    vanished.add(row)
-            if not consistent:
-                self.stats.maintenance_fallbacks += 1
-                continue
+                    previous, removed, cq.answer_variables).items():
+                if counts.get(row, 0) < lost:
+                    return None  # counts out of sync: never serve them
+                moves[row] = -lost
+        if added is not None:
             for row, gained in plan.projected_counts(
-                    working, update.added_facts,
-                    cq.answer_variables).items():
-                support = counts.get(row, 0)
-                if support == 0:
-                    appeared[row] = None
-                counts[row] = support + gained
-            fresh = MaintainedAnswers(cq, counts, version, plan)
-            fresh.last_used = entry.last_used  # maintenance is not a *use*
-            fresh._patch_rows(entry, vanished, list(appeared))
-            fresh.rows()  # warm the certain flavour outside the lock
-            refreshed.append(fresh)
-            self.stats.answers_maintained += 1
-        return refreshed
+                    working, added, cq.answer_variables).items():
+                moves[row] = moves.get(row, 0) + gained
+        moves = {row: move for row, move in moves.items() if move}
+        if not moves:
+            return entry
+        counts = dict(counts)
+        #: rows whose support crossed zero (drives the sorted row patching
+        #: — rows that merely changed support don't move)
+        vanished: Set[AnswerTuple] = set()
+        appeared: List[AnswerTuple] = []
+        for row, move in moves.items():
+            support = counts.get(row, 0)
+            if support + move:
+                counts[row] = support + move
+                if not support:
+                    appeared.append(row)
+            else:
+                del counts[row]
+                vanished.add(row)
+        fresh = entry._successor(counts, version)
+        fresh._patch_rows(entry, vanished, appeared)
+        fresh.rows()  # warm the certain flavour outside the lock
+        return fresh
 
     def _note_update(self, update: UpdateResult,
-                     refreshed: Sequence[MaintainedAnswers] = ()) -> None:
+                     delta: Optional[UpdateDelta],
+                     outcomes: MaintenanceOutcomes) -> None:
         """Swap in maintained answers; invalidate what could not be kept.
 
         Called under the version store's lock, atomically with the
-        publication of the new version.  Every cache entry the update may
-        have touched is dropped, then the entries ``_maintain_answers``
-        refreshed are installed in their place.  Updates whose delta is
-        empty (``changed_predicates == set()``, e.g. inserting a fact that
+        publication of the new version.  Plans and plain answers over a
+        changed predicate are dropped.  Each maintained entry over a
+        changed predicate gets the successor ``_maintain_answers`` decided
+        for it (itself when kept, ``None`` to drop); an entry it did not
+        decide — installed by a reader while the delta joins ran — is kept
+        if the grouped ``delta`` cannot reach it and dropped otherwise.  Updates whose delta is empty
+        (``changed_predicates == set()``, e.g. inserting a fact that
         already existed as a derived fact) touch nothing and invalidate
         nothing — cached answers keep hitting.
         """
-        if update.changed_predicates is not None and \
-                not update.changed_predicates:
+        changed = update.changed_predicates
+        if changed is not None and not changed:
             return
 
-        def touched(cq: ConjunctiveQuery) -> bool:
-            return update.changed_predicates is None or any(
-                atom.predicate in update.changed_predicates for atom in cq.body)
+        def touched(predicates: frozenset) -> bool:
+            return changed is None or not predicates.isdisjoint(changed)
 
         # The sweeps iterate atomic snapshots (single C-level list() calls):
-        # the plan cache is populated by readers without the store lock, so
-        # a Python-level loop over the live dict could observe a concurrent
+        # the caches are populated by readers without the store lock, so a
+        # Python-level loop over a live dict could observe a concurrent
         # insert mid-iteration.
-        for key in [key for key, (cq, _) in list(self._plans.items())
-                    if touched(cq)]:
+        for key in [key for key, (predicates, _) in list(self._plans.items())
+                    if touched(predicates)]:
             self._plans.pop(key, None)
-        for key in [key for key, (cq, _, _) in list(self._answers.items())
-                    if touched(cq)]:
+        for key in [key
+                    for key, (predicates, _, _) in list(self._answers.items())
+                    if touched(predicates)]:
             self._answers.pop(key, None)
-        for key in [key for key, entry in list(self._maintained.items())
-                    if touched(entry.cq)]:
-            self._maintained.pop(key, None)
-        for entry in refreshed:
-            self._maintained[entry.key] = entry
+        for key, entry in list(self._maintained.items()):
+            if not touched(entry.predicates):
+                continue
+            outcome = outcomes.get(key)
+            if outcome is not None and outcome[0] is entry:
+                fresh = outcome[1]
+            elif delta is None or delta[0].reaches(entry.signature) or \
+                    delta[1].reaches(entry.signature):
+                fresh = None
+            else:
+                continue
+            if fresh is None:
+                self._maintained.pop(key, None)
+            elif fresh is not entry:
+                self._maintained[key] = fresh
         self._evict_support()
 
     def _touch_entry(self, entry: MaintainedAnswers) -> None:
@@ -909,8 +1017,11 @@ class QuerySession:
 
     def _answers_at(self, pinned: InstanceVersion, query: QueryLike,
                     allow_nulls: bool = False) -> Answers:
-        cq = self.query(query)
-        key = str(cq)
+        cq, key = self._keyed(query)
+        return self._answers_keyed(pinned, cq, key, allow_nulls)
+
+    def _answers_keyed(self, pinned: InstanceVersion, cq: ConjunctiveQuery,
+                       key: str, allow_nulls: bool) -> Answers:
         entry = self._maintained.get(key)
         if entry is not None and entry.version <= pinned.version:
             self.stats.cache_hits += 1
@@ -923,7 +1034,7 @@ class QuerySession:
             return cached[2]
         self.stats.cache_misses += 1
         instance = pinned.instance
-        ordered = self.plan(cq, instance)
+        ordered = self._plan(cq, key, instance)
         counts = evaluate_query_counts(cq, instance, matcher=self._matcher,
                                        plan=ordered)
         result = rows_from_counts(counts, allow_nulls)
@@ -937,7 +1048,8 @@ class QuerySession:
                 if self.maintain_answers:
                     existing = self._maintained.get(key)
                     if existing is None or existing.version <= pinned.version:
-                        fresh = MaintainedAnswers(cq, counts, pinned.version)
+                        fresh = MaintainedAnswers(cq, counts, pinned.version,
+                                                  key=key)
                         fresh._seed_rows(allow_nulls, result)
                         self._touch_entry(fresh)
                         self._maintained[key] = fresh
@@ -945,7 +1057,9 @@ class QuerySession:
                 else:
                     previous = self._answers.get(cache_key)
                     if previous is None or previous[1] <= pinned.version:
-                        self._answers[cache_key] = (cq, pinned.version, result)
+                        self._answers[cache_key] = (
+                            frozenset(cq.body_predicates()), pinned.version,
+                            result)
         return result
 
     def holds(self, query: QueryLike) -> bool:
@@ -965,16 +1079,16 @@ class QuerySession:
         early-exit scan (cheaper for one-shot probes, but re-done on every
         call).
         """
-        cq = self.query(query)
-        entry = self._maintained.get(str(cq))
+        cq, key = self._keyed(query)
+        entry = self._maintained.get(key)
         if entry is not None and entry.version <= pinned.version:
             self.stats.cache_hits += 1
             self._touch_entry(entry)
             return bool(entry.counts)
         if self.maintain_answers:
-            return bool(self._answers_at(pinned, cq, allow_nulls=True))
+            return bool(self._answers_keyed(pinned, cq, key, allow_nulls=True))
         instance = pinned.instance
-        ordered = self.plan(cq, instance)
+        ordered = self._plan(cq, key, instance)
         for _ in self._matcher.find_homomorphisms(
                 ordered, instance,
                 comparisons=cq.comparisons, preordered=True):

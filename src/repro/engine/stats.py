@@ -50,8 +50,9 @@ class EngineStats:
     incremental_updates: int = 0
     #: EDB updates that fell back to a full from-scratch re-chase
     full_rechases: int = 0
-    #: cached answer sets updated in place from an update's fact delta
-    #: (counting-based incremental view maintenance) instead of re-answered
+    #: cached queries whose delta joins ran (counting-based incremental
+    #: view maintenance, instead of re-answering); entries the update's
+    #: delta cannot reach are routed past without a join and not counted
     answers_maintained: int = 0
     #: cached answer sets dropped because an update was too ambiguous to
     #: maintain (EGD merges, full re-chases, missing fact deltas) — the next

@@ -311,3 +311,49 @@ def test_columnar_counters_and_codegen_cache(kernel):
     assert matcher.stats.batch_joins > 0
     assert matcher.stats.rows_batch_scanned >= matcher.stats.batch_joins
     assert matcher.stats.codegen_cache_hits > 0
+
+
+def test_session_maintenance_encodes_each_delta_predicate_once(kernel,
+                                                               monkeypatch):
+    """One update, many maintained plans: the session's matcher encodes
+    each delta predicate once per update side, not once per plan."""
+    from repro.datalog import parse_program, parse_query
+    from repro.engine.columnar import ColumnarMatcher
+
+    program = parse_program("""
+        Derived(X, Y) :- Base(X, Y).
+        Base(a, b). Base(c, d). Base(e, b).
+    """)
+    materialized = MaterializedProgram(program, engine="columnar")
+    session = materialized.queries()
+    queries = ["?(X, Y) :- Base(X, Y).", "?(X) :- Derived(X, d).",
+               "?(X) :- Base(X, Y), Derived(X, d).",
+               "?(Y) :- Base(X, Y), Derived(X, Y).",
+               "?(X) :- Derived(X, Y), Base(X, Y), Base(Z, Y)."]
+    for query in queries:
+        session.answers(query)
+    encoded = []
+    original = ColumnarMatcher._encode_delta
+
+    def counting(self, rows, live):
+        if self is session._matcher:
+            encoded.append(rows)
+        return original(self, rows, live)
+
+    monkeypatch.setattr(ColumnarMatcher, "_encode_delta", counting)
+    for action, fact in (("add", ("a", "d")), ("retract", ("c", "d"))):
+        before = session.stats.snapshot()
+        if action == "add":
+            materialized.add_facts([("Base", fact)])
+        else:
+            materialized.retract_facts([("Base", fact)])
+        # Base and Derived both moved, and every query was joined ...
+        assert session.stats.delta(before).answers_maintained == len(queries)
+        # ... yet each delta predicate was encoded exactly once.
+        assert sorted(encoded) == [[fact], [fact]]
+        encoded.clear()
+        reference = chase(materialized.edb_program(), check_constraints=False)
+        for query in queries:
+            assert session.answers(query) == \
+                certain_answers(materialized.edb_program(), parse_query(query),
+                                chase_result=reference), query

@@ -383,6 +383,274 @@ def test_evaluate_query_counts_matches_evaluation():
         evaluate_query(query, result.instance, allow_nulls=True)
 
 
+# -- delta routing: only the entries an update can change are visited --------
+
+ROUTING_ENGINES = ("indexed", "naive", "columnar")
+
+
+def _routing_session(engine, program_text, queries):
+    materialized = MaterializedProgram(parse_program(program_text),
+                                       engine=engine)
+    session = materialized.queries()
+    for query in queries:
+        session.answers(query)
+    return materialized, session
+
+
+def _entry(session, query):
+    return session._maintained[str(session.query(query))]
+
+
+def _assert_exact(session, materialized, queries):
+    for query in queries:
+        assert session.answers(query) == _fresh_answers(materialized, query), \
+            query
+
+
+@pytest.mark.parametrize("engine", ROUTING_ENGINES)
+def test_routing_visits_only_entries_a_delta_fact_can_pin(engine):
+    """Constants at several positions: an added fact reaches exactly the
+    entries whose constants it equals, and only those are joined."""
+    queries = ["?(Y, Z) :- R(a, Y, Z).",      # reached (position 0)
+               "?(X, Z) :- R(X, b, Z).",      # skipped (position 1 is q)
+               "?(X) :- R(X, q, c).",         # skipped (position 2 is r)
+               "?(X) :- R(X, q, r).",         # reached (positions 1 and 2)
+               "?(X, Y, Z) :- R(X, Y, Z)."]   # reached (no constants)
+    materialized, session = _routing_session(
+        engine, "R(a, b, c). R(d, b, c).", queries)
+    skipped = [_entry(session, query) for query in queries[1:3]]
+
+    before = session.stats.snapshot()
+    materialized.add_facts([("R", ("a", "q", "r"))])
+    delta = session.stats.delta(before)
+    assert delta.answers_maintained == 3
+    assert delta.maintenance_fallbacks == 0
+    for query, entry in zip(queries[1:3], skipped):
+        assert _entry(session, query) is entry and entry.version == 0
+    assert _entry(session, queries[0]).version == materialized.version
+    _assert_exact(session, materialized, queries)
+
+    # A retraction routes the same way, against the removed facts: only
+    # R(X, b, Z) and the constant-free query can pin R(d, b, c).
+    before = session.stats.snapshot()
+    materialized.retract_facts([("R", ("d", "b", "c"))])
+    assert session.stats.delta(before).answers_maintained == 2
+    _assert_exact(session, materialized, queries)
+
+
+@pytest.mark.parametrize("engine", ROUTING_ENGINES)
+def test_repeated_variables_never_cause_a_skip(engine):
+    """``R(X, X, Z)`` has no constants: every R fact reaches it.  A fact
+    breaking the repetition joins to nothing and keeps the entry."""
+    query = "?(X) :- R(X, X, Z)."
+    materialized, session = _routing_session(engine, "R(a, a, c).", [query])
+    entry = _entry(session, query)
+
+    before = session.stats.snapshot()
+    materialized.add_facts([("R", ("a", "b", "c"))])
+    assert session.stats.delta(before).answers_maintained == 1
+    assert _entry(session, query) is entry and entry.version == 0
+
+    materialized.add_facts([("R", ("d", "d", "e"))])
+    assert session.answers(query) == (("a",), ("d",))
+    _assert_exact(session, materialized, [query])
+
+
+@pytest.mark.parametrize("engine", ROUTING_ENGINES)
+def test_self_join_routes_on_the_atom_a_fact_matches(engine):
+    """``E(a, Y), E(Y, c)``: a fact matching only the second atom still
+    reaches the entry; a fact matching neither atom is skipped."""
+    query = "?(Y) :- E(a, Y), E(Y, c)."
+    materialized, session = _routing_session(engine, "E(a, b). E(a, k).",
+                                             [query])
+    assert session.answers(query) == ()
+    entry = _entry(session, query)
+
+    before = session.stats.snapshot()
+    materialized.add_facts([("E", ("z", "q"))])  # pins neither atom
+    assert session.stats.delta(before).answers_maintained == 0
+    assert _entry(session, query) is entry
+
+    before = session.stats.snapshot()
+    materialized.add_facts([("E", ("b", "c"))])  # pins E(Y, c) only
+    assert session.stats.delta(before).answers_maintained == 1
+    assert session.answers(query) == (("b",),)
+    _assert_exact(session, materialized, [query])
+
+
+@pytest.mark.parametrize("engine", ROUTING_ENGINES)
+def test_comparison_bound_constants_never_cause_a_wrong_skip(engine):
+    """``X = 'a'`` binds X like a constant, but routing ignores it: the
+    entry is always reached by R facts, and stays exact."""
+    query = "?(Y) :- R(X, Y), X = 'a'."
+    materialized, session = _routing_session(engine, "R(a, y1). R(b, y2).",
+                                             [query])
+    assert session.answers(query) == (("y1",),)
+
+    before = session.stats.snapshot()
+    materialized.add_facts([("R", ("a", "y3"))])
+    assert session.stats.delta(before).answers_maintained == 1
+    assert session.answers(query) == (("y1",), ("y3",))
+
+    entry = _entry(session, query)
+    materialized.add_facts([("R", ("b", "y4"))])  # joined, filtered, kept
+    assert _entry(session, query) is entry
+    materialized.retract_facts([("R", ("a", "y1"))])
+    assert session.answers(query) == (("y3",),)
+    _assert_exact(session, materialized, [query])
+
+
+@pytest.mark.parametrize("engine", ROUTING_ENGINES)
+def test_null_bearing_deltas_route_exactly(engine):
+    """Derived facts carrying labeled nulls reach entries with variables at
+    the null's position, never an entry with a constant there."""
+    queries = ["?(X) :- S(X, k).", "?(X) :- S(X, Z).", "?(Z) :- S(x1, Z)."]
+    program = """
+        exists Z : S(X, Z) :- B(X).
+        B(x0). S(x0, k).
+    """
+    materialized, session = _routing_session(engine, program, queries)
+    constant_entry = _entry(session, queries[0])
+
+    before = session.stats.snapshot()
+    update = materialized.add_facts([("B", ("x1",))])
+    assert any(isinstance(value, Null)
+               for _, row in update.added_facts for value in row)
+    assert session.stats.delta(before).answers_maintained == 2
+    assert _entry(session, queries[0]) is constant_entry
+    assert session.answers(queries[1]) == (("x0",), ("x1",))
+    assert session.answers(queries[2]) == ()  # certain answers drop nulls
+    assert len(session.answers(queries[2], allow_nulls=True)) == 1
+    _assert_exact(session, materialized, queries)
+
+    materialized.retract_facts([("B", ("x1",))])
+    _assert_exact(session, materialized, queries)
+    assert session.answers(queries[2], allow_nulls=True) == ()
+
+
+@pytest.mark.parametrize("engine", ROUTING_ENGINES)
+def test_retract_and_rederive_keeps_the_entry_and_its_stamp(engine):
+    """The joins run (the delta reaches the entry) but net out: the entry
+    stays installed as the same object, with its old stamp."""
+    program = """
+        Stored(X) :- Source(X).
+        Source(s1).
+        Stored(s1).
+    """
+    query = "?(X) :- Stored(X)."
+    materialized, session = _routing_session(engine, program, [query])
+    entry = _entry(session, query)
+    rows = session.answers(query)
+
+    before = session.stats.snapshot()
+    update = materialized.retract_facts([("Stored", ("s1",))])
+    assert ("Stored", ("s1",)) in update.removed_facts
+    assert ("Stored", ("s1",)) in update.added_facts
+    assert session.stats.delta(before).answers_maintained == 1
+    assert _entry(session, query) is entry and entry.version == 0
+    assert session.answers(query) is rows  # the same shared tuple
+
+
+@pytest.mark.parametrize("engine", ROUTING_ENGINES)
+def test_support_moves_without_a_zero_crossing_share_the_rows(engine):
+    """A second derivation of an existing answer row moves its support but
+    no row: the successor takes the new stamp and shares the rows tuple."""
+    query = "?(X) :- R(X, Y)."
+    materialized, session = _routing_session(engine, "R(a, y1).", [query])
+    entry = _entry(session, query)
+    rows = session.answers(query)
+
+    materialized.add_facts([("R", ("a", "y2"))])
+    successor = _entry(session, query)
+    assert successor is not entry
+    assert successor.version == materialized.version
+    assert successor.counts == {("a",): 2}
+    assert session.answers(query) is rows
+
+    materialized.retract_facts([("R", ("a", "y1"))])
+    assert _entry(session, query).counts == {("a",): 1}
+    assert session.answers(query) is rows
+    _assert_exact(session, materialized, [query])
+
+
+@pytest.mark.parametrize("engine", ROUTING_ENGINES)
+def test_entries_installed_during_maintenance_are_routed_again(
+        engine, monkeypatch):
+    """A decision applies only to the entry it was made for.  An entry a
+    reader installs while the delta joins run is dropped if the delta can
+    reach it and kept (same object) if it cannot."""
+    reached = "?(Z) :- R(a, Z)."
+    unreached = "?(Z) :- R(b, Z)."
+    materialized, session = _routing_session(engine, "R(a, z1). R(b, z2).",
+                                             [reached, unreached])
+    original = session._maintain_answers
+    installed = {}
+
+    def maintain_then_reinstall(*args):
+        outcomes = original(*args)
+        for query in (reached, unreached):  # a reader re-seeds both entries
+            session._maintained.pop(str(session.query(query)))
+            session.answers(query)
+            installed[query] = _entry(session, query)
+        return outcomes
+
+    monkeypatch.setattr(session, "_maintain_answers", maintain_then_reinstall)
+    materialized.add_facts([("R", ("a", "z3"))])
+    assert str(session.query(reached)) not in session._maintained
+    assert _entry(session, unreached) is installed[unreached]
+    _assert_exact(session, materialized, [reached, unreached])
+
+
+@pytest.mark.parametrize("engine", ROUTING_ENGINES)
+def test_pinned_readers_see_their_version_across_kept_and_moved_entries(
+        engine):
+    """A reader pinned before an update keeps its version's answers for
+    moved and kept entries alike; a reader pinned after sees the update."""
+    moved = "?(Z) :- R(a, Z)."
+    kept = "?(Z) :- R(b, Z)."
+    touched_kept = "?(Y, Z) :- R(Y, Z), R(Z, q)."
+    queries = [moved, kept, touched_kept]
+    materialized, session = _routing_session(engine, "R(a, z1). R(b, z2).",
+                                             queries)
+    old = {query: session.answers(query) for query in queries}
+    with session.read() as pinned_before:
+        materialized.add_facts([("R", ("a", "z3"))])
+        assert _entry(session, kept).version == 0
+        assert _entry(session, touched_kept).version == 0
+        assert _entry(session, moved).version == materialized.version
+        with session.read() as pinned_after:
+            for query in queries:
+                assert pinned_before.answers(query) == old[query]
+                assert pinned_after.answers(query) == \
+                    _fresh_answers(materialized, query)
+    assert session.answers(moved) == (("z1",), ("z3",))
+
+
+def test_cache_hit_reuses_the_memoized_key(monkeypatch):
+    """A cached read does not re-stringify the parsed query, and counts the
+    same hits as before the key memo (parse hit + entry hit)."""
+    from repro.datalog.rules import ConjunctiveQuery
+
+    materialized = MaterializedProgram(_program())
+    session = materialized.queries()
+    session.answers(QUERY)
+    session.holds(QUERY)
+    calls = []
+    original = ConjunctiveQuery.__str__
+
+    def counting_str(cq):
+        calls.append(cq)
+        return original(cq)
+
+    monkeypatch.setattr(ConjunctiveQuery, "__str__", counting_str)
+    before = session.stats.snapshot()
+    session.answers(QUERY)
+    session.holds(QUERY)
+    delta = session.stats.delta(before)
+    assert calls == []
+    assert delta.cache_hits == 4 and delta.cache_misses == 0
+
+
 # -- satellites: interning and immutable answer sharing -----------------------
 
 
